@@ -16,6 +16,7 @@ from repro.analysis.findings import Rule
 from repro.analysis.rules import (
     determinism,
     error_mapping,
+    ingest_path,
     metric_naming,
     shard_safety,
     snapshot_completeness,
@@ -30,6 +31,7 @@ ALL_RULES: List[Rule] = [
     shard_safety.RULE,
     error_mapping.RULE,
     metric_naming.RULE,
+    ingest_path.RULE,
 ]
 
 __all__ = ["ALL_RULES"]

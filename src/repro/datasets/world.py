@@ -168,13 +168,10 @@ def build_world(config: WorldConfig = WorldConfig()) -> SyntheticWorld:
             rng=rng.fork("feedback", commuter.user_id),
         )
 
-    # 5. Load the GPS history and build mobility models.
+    # 5. Load the GPS history; the streaming engine mines it on ingest.
     if config.load_gps_history:
         for commuter in commuters:
-            fixes = commuter_generator.historical_fixes(commuter)
-            server.users.ingest_fixes(fixes)
-            if len(fixes) >= 2:
-                server.rebuild_mobility_model(commuter.user_id)
+            server.users.ingest_fixes(commuter_generator.historical_fixes(commuter))
 
     return SyntheticWorld(
         config=config,

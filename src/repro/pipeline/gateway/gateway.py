@@ -30,9 +30,6 @@ with a declarative subsystem:
   and clip reads keyed by storage-table ``version`` counters, so a
   client that polls while nothing changed never pays for a recommender
   tick or a body rebuild.
-
-The legacy :class:`~repro.pipeline.api.PublicApi` survives as a thin v1
-compatibility façade over :meth:`Gateway.handle`.
 """
 
 from __future__ import annotations
@@ -64,6 +61,15 @@ from repro.util.validation import require_finite, require_in_range, require_posi
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.server import PphcrServer
+
+
+def _reject_constant(name: str) -> Any:
+    raise json.JSONDecodeError(f"non-finite number {name} is not valid JSON", name, 0)
+
+
+#: Wire-body decoder: standard JSON only.  ``json.loads`` would accept the
+#: ``NaN``/``Infinity`` constants and let them reach the stores.
+_WIRE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _finite(name: str) -> Callable[[float], float]:
@@ -246,13 +252,14 @@ class Gateway:
 
         What an HTTP server in front of the gateway would do per request:
         parse the request body, dispatch, serialize the response body.
-        Malformed JSON maps to 400 without touching a route.  Returns
+        Malformed JSON, including the non-standard ``NaN``/``Infinity``
+        constants, maps to 400 without touching a route.  Returns
         ``(status, body_json, headers)``; also serves as the guarantee that
         every response body is JSON-serializable.
         """
         if body_json:
             try:
-                body = json.loads(body_json)
+                body = _WIRE_DECODER.decode(body_json)
             except json.JSONDecodeError as exc:
                 error = f"malformed JSON body: {exc.msg}"
                 return 400, json.dumps({"error": error}), {}
@@ -542,9 +549,10 @@ class Gateway:
             self._server.users.profile(user_id)  # 404 before any fix is parsed
         # Lean per-item validation: the GpsFix/GeoPoint constructors enforce
         # the same preconditions the wire schema would (finite timestamp,
-        # coordinate ranges, non-negative speed), so batch items skip the
-        # schema machinery and go straight to the model types; any
-        # construction failure still maps to a 400 with the item index.
+        # coordinate ranges, finite non-negative speed and accuracy), so
+        # batch items skip the schema machinery and go straight to the
+        # model types; any construction failure still maps to a 400 with
+        # the item index.
         #
         # Without an envelope user each item names its own owner — one
         # request can carry many users' drives.  All owners are resolved

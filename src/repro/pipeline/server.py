@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.asr import SimulatedTranscriber
 from repro.client.editorial import EditorialDesk
@@ -45,15 +45,9 @@ from repro.streaming.engine import StreamingConfig
 from repro.streaming.incremental import IncrementalConfig
 from repro.streaming.sharded import ShardedStreamingEngine
 from repro.textclass import NaiveBayesClassifier
-from repro.trajectory import (
-    DestinationPredictor,
-    Trajectory,
-    TravelTimePredictor,
-    cluster_trips,
-    split_into_trips,
-)
+from repro.trajectory import DestinationPredictor, Trajectory, TravelTimePredictor
 from repro.trajectory.clustering import RouteCluster, RouteClusterIndex, find_cluster
-from repro.trajectory.staypoints import StayPoint, nearest_stay_point, stay_points_from_trips
+from repro.trajectory.staypoints import StayPoint, nearest_stay_point
 from repro.users.management import UserManager
 from repro.users.profile import UserProfile
 
@@ -74,8 +68,7 @@ class ServerConfig:
     #: Shard layout of all per-user state (tracking, profiles, feedback,
     #: streaming models).  ``shards`` must stay constant across snapshots
     #: taken per shard (whole-server snapshots restore into any layout);
-    #: ``parallel`` enables the per-shard worker pool used by batch ingest
-    #: and full-pass compaction.
+    #: ``parallel`` enables the per-shard worker pool used by batch ingest.
     sharding: ShardingConfig = ShardingConfig()
     #: Unified observability (metrics registry, request tracing, slow-query
     #: log).  ``TelemetryConfig(enabled=False)`` swaps in the null variants
@@ -91,7 +84,7 @@ class ServerConfig:
 
 @dataclass
 class _UserMobilityModel:
-    """Cached trajectory mining results for one user.
+    """One user's served mobility model: the streaming engine's snapshot.
 
     Carries an (origin, destination) → cluster index so context building
     resolves the active commute cluster with a dict lookup instead of
@@ -167,32 +160,28 @@ class PphcrServer:
         self._engine = ProactiveEngine(
             self._filter, self._compound, self._scheduler, config.proactive
         )
-        self._mobility_models: Dict[str, _UserMobilityModel] = {}
-        # Converted streaming snapshots served by mobility_model(), keyed by
-        # the engine's (epoch, trip_count) so a stale copy is never reused.
-        self._streaming_served: Dict[str, tuple] = {}
+        # Served models keyed by the engine's (epoch, trip_count): one entry
+        # per user, rebuilt only when a trip folds in or a repair runs.  An
+        # immature model is cached as None.
+        self._served_models: Dict[str, Tuple[Tuple[int, int], Optional[_UserMobilityModel]]] = {}
         self._travel_time = TravelTimePredictor(self._planner)
-        # Streaming mobility mining: every ingested fix flows through the
-        # online sessionizer/incremental miner so compaction never has to
-        # re-read raw histories.  The stay-point radius follows the server's
-        # batch setting so both paths mine with identical parameters.
-        self._streaming: Optional[ShardedStreamingEngine] = None
-        if config.streaming.enabled:
-            incremental = replace(
-                config.streaming.incremental, eps_m=config.stay_point_eps_m
-            )
-            self._streaming = ShardedStreamingEngine(
-                replace(config.streaming, incremental=incremental),
-                shards=config.sharding.shards,
-                bus=self._bus,
-                metrics=self._telemetry.metrics if self._telemetry.enabled else None,
-            )
-            self._users.add_fix_listener(
-                self._streaming.observe_fix, batch=self._streaming.observe_fixes
-            )
+        # Streaming mobility mining: every accepted fix flows through the
+        # online sessionizer/incremental miner, the one source of mobility
+        # models, so nothing ever re-reads a raw history.  The stay-point
+        # radius follows ``stay_point_eps_m``.
+        incremental = replace(config.streaming.incremental, eps_m=config.stay_point_eps_m)
+        self._streaming = ShardedStreamingEngine(
+            replace(config.streaming, incremental=incremental),
+            shards=config.sharding.shards,
+            bus=self._bus,
+            metrics=self._telemetry.metrics if self._telemetry.enabled else None,
+        )
+        self._users.add_fix_listener(
+            self._streaming.observe_fix, batch=self._streaming.observe_fixes
+        )
         self._compactor = ShardedCompactor(
             self._users.tracking,
-            self._refresh_mobility_model,
+            self._has_mobility_model,
             config=config.compaction,
         )
         # Round-robin shard cursor for maintenance_tick(): successive ticks
@@ -200,8 +189,8 @@ class PphcrServer:
         # population without ever running a full pass.
         self._maintenance_shard = 0
         # Per-shard worker pool (one single-thread executor per shard, built
-        # lazily): batch ingest and full-pass compaction dispatch their
-        # per-shard groups here when ``sharding.parallel`` is on.
+        # lazily): batch ingest dispatches its per-shard groups here when
+        # ``sharding.parallel`` is on.
         self._workers: Optional[ShardWorkerPool] = None
         # Durability: attached last so its change/op listeners observe the
         # fully wired server (the streaming engine's fix listener must run
@@ -269,8 +258,8 @@ class PphcrServer:
         return self._planner
 
     @property
-    def streaming(self) -> Optional[ShardedStreamingEngine]:
-        """The streaming mobility engine façade (None when disabled)."""
+    def streaming(self) -> ShardedStreamingEngine:
+        """The streaming mobility engine façade."""
         return self._streaming
 
     @property
@@ -381,134 +370,54 @@ class PphcrServer:
 
     # Mobility model -------------------------------------------------------------
 
-    def rebuild_mobility_model(self, user_id: str) -> _UserMobilityModel:
-        """Run the periodic tracking-data compaction for one user.
-
-        Splits the raw GPS history into trips, extracts stay points with
-        DBSCAN and clusters recurring routes.  The result is cached and used
-        by :meth:`build_context`.
-        """
-        try:
-            fixes = self._users.tracking.fixes_for(user_id)
-        except NotFoundError:
-            fixes = []
-        if len(fixes) < 2:
-            raise PipelineError(f"not enough tracking data for user {user_id!r}")
-        trajectory = Trajectory.from_fixes(user_id, fixes)
-        trips = split_into_trips(trajectory)
-        stay_points = stay_points_from_trips(trips, eps_m=self._config.stay_point_eps_m) if trips else []
-        clusters = cluster_trips(trips, stay_points) if stay_points else []
-        model = _UserMobilityModel(stay_points=stay_points, clusters=clusters, trip_count=len(trips))
-        self._mobility_models[user_id] = model
-        self._bus.publish(
-            "tracking.model_rebuilt",
-            {
-                "user_id": user_id,
-                "trips": len(trips),
-                "stay_points": len(stay_points),
-                "clusters": len(clusters),
-                "source": "batch",
-            },
-        )
-        return model
-
     def model_freshness(self, user_id: str) -> tuple:
         """``(epoch, trips, fixes_added)`` — an O(1) mobility validator.
 
         Combines the streaming engine's ``model_freshness`` (repair epoch,
-        folded trips; zeros when streaming is disabled) with the tracking
-        store's monotonic fix counter, so the token moves on *every* fix —
-        including fixes written directly to the store that bypass the
-        engine.  The gateway keys recommendation ETags on it.
+        folded trips) with the tracking store's monotonic fix counter, so
+        the token moves on *every* accepted fix, including fixes still in
+        the open trip tail.  The gateway keys recommendation ETags on it.
         """
-        if self._streaming is not None:
-            epoch, trips = self._streaming.model_freshness(user_id)
-        else:
-            epoch, trips = 0, 0
+        epoch, trips = self._streaming.model_freshness(user_id)
         return (epoch, trips, self._users.tracking.fixes_added(user_id))
 
     def mobility_model(self, user_id: str) -> _UserMobilityModel:
-        """The user's mobility model: cached batch result, live streaming
-        model, or a fresh batch rebuild — in that order of preference."""
-        model = self._mobility_models.get(user_id)
-        if model is None:
-            model = self._streaming_model(user_id)
-        if model is None:
-            model = self.rebuild_mobility_model(user_id)
-        return model
+        """The user's live mobility model, as the streaming engine mined it.
 
-    @staticmethod
-    def _model_from_snapshot(snapshot) -> _UserMobilityModel:
-        return _UserMobilityModel(
-            stay_points=list(snapshot.stay_points),
-            clusters=list(snapshot.clusters),
-            trip_count=snapshot.trip_count,
-        )
-
-    def _stream_is_complete_for(self, user_id: str) -> bool:
-        """Whether the engine saw every fix the tracking store holds.
-
-        Fixes written directly to the tracking store bypass the ingestion
-        listeners; serving (or worse, caching-then-pruning against) a
-        streaming model that never saw them would silently lose those
-        drives, so such users always take the batch path.
+        Every accepted fix reaches the engine through the user manager, so
+        its model is the one record of the user's mobility.  The converted
+        model is cached per ``model_freshness`` of the engine.  Raises
+        :class:`PipelineError` while the model is immature: fewer than
+        ``min_trips_for_model`` completed trips, or no stay point yet.
         """
-        return (
-            self._streaming is not None
-            and self._streaming.observed_fix_count(user_id)
-            == self._users.tracking.fixes_added(user_id)
-        )
+        cached = self._served_models.get(user_id)
+        if cached is None or cached[0] != self._streaming.model_freshness(user_id):
+            snapshot = self._streaming.model_snapshot(user_id)
+            model = None
+            if (
+                snapshot is not None
+                and snapshot.trip_count >= self._config.min_trips_for_model
+                and snapshot.stay_points
+            ):
+                model = _UserMobilityModel(
+                    stay_points=snapshot.stay_points,
+                    clusters=snapshot.clusters,
+                    trip_count=snapshot.trip_count,
+                )
+            # Read freshness after the snapshot: taking it may run a due repair.
+            cached = (self._streaming.model_freshness(user_id), model)
+            self._served_models[user_id] = cached
+        if cached[1] is None:
+            raise PipelineError(f"no mature mobility model for user {user_id!r}")
+        return cached[1]
 
-    def _streaming_model(self, user_id: str) -> Optional[_UserMobilityModel]:
-        """The incrementally maintained model, when it is mature enough."""
-        if self._streaming is None or not self._stream_is_complete_for(user_id):
-            return None
-        freshness = self._streaming.model_freshness(user_id)
-        cached = self._streaming_served.get(user_id)
-        if cached is not None and cached[0] == freshness:
-            return cached[1]
-        snapshot = self._streaming.model_snapshot(user_id)
-        if (
-            snapshot is None
-            or snapshot.trip_count < self._config.min_trips_for_model
-            or not snapshot.stay_points
-        ):
-            return None
-        model = self._model_from_snapshot(snapshot)
-        self._streaming_served[user_id] = (freshness, model)
-        return model
+    def _has_mobility_model(self, user_id: str) -> bool:
+        """Whether compaction may prune the user's raw fixes: O(1).
 
-    def _refresh_mobility_model(self, user_id: str) -> bool:
-        """Refresh one user's model for a compaction visit.
-
-        Prefers the streaming engine — a repair over the compact trip list
-        including the open tail, O(trips) instead of O(raw history) — and
-        falls back to the batch miner when the engine did not see all of
-        the user's fixes (direct tracking-store writes, streaming disabled).
+        The engine consumed every stored fix on ingest, so a visit needs no
+        re-mine; it only waits until at least one trip has folded in.
         """
-        model: Optional[_UserMobilityModel] = None
-        if self._stream_is_complete_for(user_id):
-            snapshot = self._streaming.model_snapshot(user_id, include_open_tail=True)
-            if snapshot is not None and snapshot.stay_points:
-                model = self._model_from_snapshot(snapshot)
-        if model is None:
-            try:
-                self.rebuild_mobility_model(user_id)
-            except PipelineError:
-                return False
-            return True
-        self._mobility_models[user_id] = model
-        self._bus.publish(
-            "tracking.model_rebuilt",
-            {
-                "user_id": user_id,
-                "trips": model.trip_count,
-                "stay_points": len(model.stay_points),
-                "clusters": len(model.clusters),
-                "source": "streaming",
-            },
-        )
-        return True
+        return self._streaming.model_freshness(user_id)[1] > 0
 
     def compact_tracking_data(
         self,
@@ -516,7 +425,6 @@ class PphcrServer:
         keep_window_s: Optional[float] = None,
         shard: Optional[int] = None,
         budget: Optional[int] = None,
-        parallel: bool = False,
     ) -> Dict[str, int]:
         """Run the periodic tracking-data compaction described in the paper.
 
@@ -524,26 +432,17 @@ class PphcrServer:
         periodically process and simplify them" — but only for users with new
         data: the sharded compactor skips users whose fix counter has not
         moved since their last visit, optionally restricts a pass to one
-        ``shard`` and caps it at ``budget`` users.  Each visited user gets a
-        refreshed mobility model and raw fixes older than ``keep_window_s``
+        ``shard`` and caps it at ``budget`` users.  Each visited user with a
+        streaming model gets their raw fixes older than ``keep_window_s``
         (default: the configured ``CompactionConfig.keep_window_s``, relative
-        to their latest fix) pruned.  Returns the number of fixes removed
-        per user.
-
-        With ``parallel=True`` (and no ``shard``) the pass covers every
-        shard at once, one worker per dirty shard on the server's pool —
-        the full-pass form a deployment runs when it wants the whole
-        population compacted in one tick instead of round-robin.
+        to their latest fix) pruned; the model itself is already live.
+        Returns the number of fixes removed per user.
         """
         with self._telemetry.tracer.trace(
-            "compaction.pass", shard=-1 if shard is None else shard, parallel=parallel
+            "compaction.pass", shard=-1 if shard is None else shard
         ):
             report = self._compactor.run_pass(
-                keep_window_s=keep_window_s,
-                shard=shard,
-                budget=budget,
-                parallel=parallel,
-                pool=self.workers,
+                keep_window_s=keep_window_s, shard=shard, budget=budget
             )
         if self._compaction_pass_seconds is not None:
             self._compaction_pass_seconds.labels().record(
@@ -577,7 +476,6 @@ class PphcrServer:
         *,
         keep_window_s: Optional[float] = None,
         budget: Optional[int] = None,
-        parallel: bool = False,
     ) -> Dict[str, int]:
         """Run one periodic maintenance step: compact the next shard.
 
@@ -587,34 +485,18 @@ class PphcrServer:
         only pays for one shard's dirty users — the ROADMAP's "one shard
         per worker tick" lever.  Returns the tick summary (shard compacted,
         users pruned, fixes removed).
-
-        With ``parallel=True`` one tick compacts *all* shards at once on
-        the server's worker pool (shard ``-1`` in the summary); the
-        round-robin cursor does not advance — the tick already covered
-        every shard.
         """
-        if parallel:
-            removed = self.compact_tracking_data(
-                keep_window_s=keep_window_s, budget=budget, parallel=True
-            )
-            summary = {
-                "shard": -1,
-                "next_shard": self._maintenance_shard,
-                "users_pruned": len(removed),
-                "fixes_removed": sum(removed.values()),
-            }
-        else:
-            shard = self._maintenance_shard
-            self._maintenance_shard = (shard + 1) % self._config.compaction.shards
-            removed = self.compact_tracking_data(
-                keep_window_s=keep_window_s, shard=shard, budget=budget
-            )
-            summary = {
-                "shard": shard,
-                "next_shard": self._maintenance_shard,
-                "users_pruned": len(removed),
-                "fixes_removed": sum(removed.values()),
-            }
+        shard = self._maintenance_shard
+        self._maintenance_shard = (shard + 1) % self._config.compaction.shards
+        removed = self.compact_tracking_data(
+            keep_window_s=keep_window_s, shard=shard, budget=budget
+        )
+        summary = {
+            "shard": shard,
+            "next_shard": self._maintenance_shard,
+            "users_pruned": len(removed),
+            "fixes_removed": sum(removed.values()),
+        }
         # WAL compaction piggybacks on the maintenance timer: once the log
         # exceeds its size budget the tick rewrites it as checkpoint + empty
         # tail.  The summary key only appears with durability attached, so
@@ -634,9 +516,8 @@ class PphcrServer:
         tracking store), the streaming mobility engine's live state and
         the editorial queue — everything a restarted process needs to
         serve *identical* recommendations and keep mining the fix stream
-        exactly where this one stopped.  Derived caches (batch mobility
-        models, served streaming snapshots) are deliberately excluded:
-        they rebuild on demand from the captured state.
+        exactly where this one stopped.  The served-model cache is
+        deliberately excluded: it rebuilds on demand from the engine state.
 
         Telemetry (metrics registry, traces, slow-query log) is also
         excluded **by design**: it is process-lifetime observability, so a
@@ -648,9 +529,7 @@ class PphcrServer:
             "version": 1,
             "content": self._content.snapshot(),
             "users": self._users.snapshot(),
-            "streaming": (
-                self._streaming.snapshot_state() if self._streaming is not None else None
-            ),
+            "streaming": self._streaming.snapshot_state(),
             "editorial": self._editorial.snapshot(),
             "maintenance_shard": self._maintenance_shard,
             "text_model_fitted": self._content_scorer.has_text_model,
@@ -686,11 +565,8 @@ class PphcrServer:
                     "replay_log requires a snapshot taken with durability on "
                     "(missing wal_lsn watermark)"
                 )
-        streaming_state = payload.get("streaming")
-        if streaming_state is not None and self._streaming is None:
-            raise PipelineError(
-                "snapshot carries streaming state but streaming is disabled in this config"
-            )
+        if not isinstance(payload.get("streaming"), dict):
+            raise PipelineError("server snapshot carries no streaming state")
         # Restored writes must not be re-logged: the WAL already holds (or
         # the checkpoint supersedes) everything the snapshot carries.
         suspended = (
@@ -701,23 +577,10 @@ class PphcrServer:
         with suspended:
             self._content.restore(payload["content"])
             self._users.restore(payload["users"])
-            if self._streaming is not None:
-                if streaming_state is None:
-                    # Snapshot from a streaming-disabled server: start clean.
-                    # The engine object itself is kept — it is wired into the
-                    # user manager's fix-listener list by reference.
-                    streaming_state = {
-                        "version": 1,
-                        "fixes_observed": 0,
-                        "observed_per_user": {},
-                        "sessionizer": {"users": {}},
-                        "model": {"users": {}},
-                    }
-                self._streaming.restore_state(streaming_state)
+            self._streaming.restore_state(payload["streaming"])
             self._editorial.restore(payload.get("editorial", []))
             self._maintenance_shard = payload.get("maintenance_shard", 0)
-            self._mobility_models = {}
-            self._streaming_served = {}
+            self._served_models = {}
             if payload.get("text_model_fitted"):
                 self._content_scorer.fit_text_model()
             else:
@@ -762,11 +625,7 @@ class PphcrServer:
             "version": 1,
             "shard": shard,
             "users": self._users.snapshot_shard(shard),
-            "streaming": (
-                self._streaming.snapshot_shard(shard)
-                if self._streaming is not None
-                else None
-            ),
+            "streaming": self._streaming.snapshot_shard(shard),
         }
 
     def restore_shard(self, shard: int, payload: Dict) -> None:
@@ -783,6 +642,8 @@ class PphcrServer:
             raise PipelineError(
                 f"shard must be in [0, {self.shard_count}), got {shard}"
             )
+        if not isinstance(payload.get("streaming"), dict):
+            raise PipelineError("shard snapshot carries no streaming state")
         suspended = (
             self._durability.suspended_capture()
             if self._durability is not None
@@ -790,19 +651,8 @@ class PphcrServer:
         )
         with suspended:
             self._users.restore_shard(shard, payload["users"])
-            streaming_state = payload.get("streaming")
-            if self._streaming is not None:
-                if streaming_state is None:
-                    streaming_state = {
-                        "version": 1,
-                        "fixes_observed": 0,
-                        "observed_per_user": {},
-                        "sessionizer": {"users": {}},
-                        "model": {"users": {}},
-                    }
-                self._streaming.restore_shard(shard, streaming_state)
-            self._mobility_models = {}
-            self._streaming_served = {}
+            self._streaming.restore_shard(shard, payload["streaming"])
+            self._served_models = {}
         self._bus.publish(
             "server.shard_restored",
             {"shard": shard, "fixes": self._users.tracking.fix_count()},
@@ -848,7 +698,7 @@ class PphcrServer:
                 model = self.mobility_model(user_id)
             except PipelineError:
                 model = None
-            if model is not None and model.stay_points:
+            if model is not None:
                 try:
                     predictor = DestinationPredictor(model.stay_points, model.clusters)
                     destination_prediction = predictor.most_likely(partial)
@@ -866,8 +716,10 @@ class PphcrServer:
                             index=model.cluster_index,
                         )
                 fraction = None
-                if cluster is not None and cluster.median_length_m > 0:
-                    fraction = min(1.0, partial.length_m / cluster.median_length_m)
+                # median_length_m re-measures every member trip: read it once.
+                median_length_m = cluster.median_length_m if cluster is not None else 0.0
+                if median_length_m > 0:
+                    fraction = min(1.0, partial.length_m / median_length_m)
                 try:
                     travel_time = self._travel_time.estimate(
                         position,

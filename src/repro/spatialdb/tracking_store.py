@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -35,10 +36,11 @@ class GpsFix:
     def __post_init__(self) -> None:
         require_non_empty(self.user_id, "user_id")
         require_finite(self.timestamp_s, "timestamp_s")
-        if self.speed_mps < 0:
-            raise ValidationError(f"speed_mps must be >= 0, got {self.speed_mps}")
-        if self.accuracy_m <= 0:
-            raise ValidationError(f"accuracy_m must be > 0, got {self.accuracy_m}")
+        # Chained comparisons reject NaN too: every comparison with it is false.
+        if not 0 <= self.speed_mps < math.inf:
+            raise ValidationError(f"speed_mps must be finite and >= 0, got {self.speed_mps}")
+        if not 0 < self.accuracy_m < math.inf:
+            raise ValidationError(f"accuracy_m must be finite and > 0, got {self.accuracy_m}")
 
 
 class _TrackingShard:

@@ -52,11 +52,15 @@ def payload_to_bytes(payload: Dict[str, Any], *, compress: bool = False) -> byte
     Compression is deterministic (``mtime=0``), so the same payload always
     yields the same bytes — rebalancing tooling can compare shard archives
     byte-for-byte.  ``gzip.decompress`` of the compressed form equals the
-    uncompressed form exactly.
+    uncompressed form exactly.  The encoding is canonical JSON: a
+    non-finite float raises ``ValueError`` here instead of writing a bare
+    ``NaN`` token into a WAL frame, checkpoint or snapshot.
     """
     if not isinstance(payload, dict):
         raise ValidationError("snapshot payload must be a JSON object")
-    raw = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    raw = json.dumps(
+        payload, separators=(",", ":"), sort_keys=True, allow_nan=False
+    ).encode("utf-8")
     if compress:
         return gzip.compress(raw, mtime=0)
     return raw

@@ -134,7 +134,6 @@ WAL_SUPPRESSED_TOPICS = frozenset(
         "tracking.trip_completed",
         "tracking.staypoint_spawned",
         "tracking.model_repaired",
-        "tracking.model_rebuilt",
         "tracking.compacted",
         # failure notification — the aborted batch wrote nothing.
         "tracking.batch_failed",

@@ -1,20 +1,22 @@
 """Sharded, budgeted compaction over the tracking store.
 
-The seed ``compact_tracking_data`` visited *every* tracked user on *every*
-pass and re-mined each one's full raw history — O(users × history²) per
-tick.  The compactor turns the pass into incremental maintenance:
+The mobility models live in the streaming engine, so a compaction pass
+only prunes raw history; it never re-mines it.  The pass is incremental:
 
 * **dirty tracking** — the tracking store counts fixes ever added per user;
   the compactor remembers the count at its last visit and skips users whose
-  counter has not moved (they are reported as *unchanged*, not re-mined);
+  counter has not moved (they are reported as *unchanged*);
 * **sharding** — users hash-partition into ``shards`` stable shards so a
-  deployment can run one shard per tick (or per worker) and still cover the
-  whole population round-robin;
+  deployment can run one shard per tick and still cover the whole
+  population round-robin;
 * **budgeting** — an optional per-pass cap on visited users; users over
   budget stay dirty and are reported as *deferred* for the next pass.
 
-Model refresh itself is delegated to a callback so the server can route it
-to the streaming engine (O(trips) repair) with the batch miner as fallback.
+Whether a visited user may be pruned is asked of an injected callback;
+the server answers it with an O(1) read of the streaming engine (has at
+least one trip folded in).  Passes run serially, one shard per
+maintenance tick: the shards are a rotation schedule, not a parallelism
+unit.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import PipelineError
 from repro.spatialdb.tracking_store import TrackingStore
-from repro.storage.sharding import ShardWorkerPool
 
 
 @dataclass(frozen=True)
@@ -60,23 +61,21 @@ class CompactionReport:
 
     ``visited_users`` + ``unchanged_users`` + ``deferred_users`` accounts
     for every user considered (in the selected shard): visited users were
-    re-mined and pruned, unchanged users had no new fixes (only a cheap
-    window check), deferred users stayed dirty because the pass budget ran
-    out and will be picked up by a later pass.
+    pruned (or skipped, lacking a model), unchanged users had no new fixes
+    (only a cheap window check), deferred users stayed dirty because the
+    pass budget ran out and will be picked up by a later pass.
 
     ``shard_elapsed_s`` is the wall-time breakdown per shard — the time
-    spent considering that shard's users, whether the pass ran serially
-    (attributed via :meth:`ShardedCompactor.shard_of`) or in parallel
-    (each worker times its own shard).  It is the report's only
-    *timing* field: serial and parallel passes over the same state agree
-    on every other field exactly, while the timings naturally differ.
+    spent considering that shard's users, attributed via
+    :meth:`ShardedCompactor.shard_of`.  It is the report's only *timing*
+    field.
     """
 
     removed: Dict[str, int] = field(default_factory=dict)
     visited_users: List[str] = field(default_factory=list)
     unchanged_users: int = 0
     deferred_users: int = 0
-    skipped_users: int = 0  # visited but lacking enough data for a model
+    skipped_users: int = 0  # visited but without a model yet: nothing pruned
     shard: Optional[int] = None
     shard_elapsed_s: Dict[int, float] = field(default_factory=dict)
 
@@ -97,9 +96,9 @@ class ShardedCompactor:
       population;
     * **dirty tracking** — a user is dirty iff their
       ``TrackingStore.fixes_added`` counter moved since the compactor's
-      last visit; the counter is recorded *before* the refresh callback
-      runs, so fixes racing in during a visit leave the user dirty for the
-      next pass (work is never lost, at worst repeated);
+      last visit; the counter is recorded *before* the ``model_ready``
+      callback runs, so fixes racing in during a visit leave the user
+      dirty for the next pass (work is never lost, at worst repeated);
     * **budget honesty** — users skipped over budget are reported as
       deferred, never silently dropped, and remain dirty.
     """
@@ -107,12 +106,12 @@ class ShardedCompactor:
     def __init__(
         self,
         tracking: TrackingStore,
-        refresh_model: Callable[[str], bool],
+        model_ready: Callable[[str], bool],
         *,
         config: CompactionConfig = CompactionConfig(),
     ) -> None:
         self._tracking = tracking
-        self._refresh_model = refresh_model
+        self._model_ready = model_ready
         self._config = config
         self._seen_counts: Dict[str, int] = {}
 
@@ -162,25 +161,12 @@ class ShardedCompactor:
         keep_window_s: Optional[float] = None,
         shard: Optional[int] = None,
         budget: Optional[int] = None,
-        parallel: bool = False,
-        pool: Optional[ShardWorkerPool] = None,
     ) -> CompactionReport:
         """Visit dirty users (in one shard, up to a budget) and compact them.
 
-        Each visited user gets a refreshed mobility model (via the injected
-        callback) and their raw fixes older than ``keep_window_s`` relative
-        to their latest fix pruned.  Clean users are counted, not touched.
-
-        With ``parallel=True`` (and no ``shard`` restriction) the pass
-        covers *all* shards at once: each dirty shard runs as its own
-        single-shard pass on a worker thread (``pool``'s, or a transient
-        pool), while shards with no dirty users run inline on the caller —
-        they only count unchanged users and apply window pruning, which is
-        too cheap to ship to a worker.  Shard passes touch disjoint users,
-        models and ``_seen_counts`` keys, so each worker is the single
-        writer of its shard; the merged report is the same accounting a
-        serial full pass produces (``budget`` then applies per shard, and
-        ``visited_users`` orders by shard rather than globally).
+        Each visited user for whom ``model_ready`` holds gets their raw
+        fixes older than ``keep_window_s`` relative to their latest fix
+        pruned.  Clean users are counted, not re-visited.
         """
         window = self._config.keep_window_s if keep_window_s is None else keep_window_s
         if window <= 0:
@@ -192,8 +178,6 @@ class ShardedCompactor:
         cap = self._config.max_users_per_pass if budget is None else budget
         if cap is not None and cap < 1:
             raise PipelineError("budget must be >= 1 when set")
-        if parallel and shard is None and self._config.shards > 1:
-            return self._run_parallel(window, cap, pool)
 
         report = CompactionReport(shard=shard)
         for user_id in self._users_in(shard):
@@ -202,7 +186,7 @@ class ShardedCompactor:
             try:
                 if not self.is_dirty(user_id):
                     report.unchanged_users += 1
-                    # A clean user needs no re-mining, but a *tightened* window
+                    # A clean user needs no visit, but a *tightened* window
                     # must still prune: check the cheap O(1) bound first.
                     latest = self._tracking.latest_fix(user_id).timestamp_s
                     cutoff = latest - window
@@ -215,10 +199,10 @@ class ShardedCompactor:
                     report.deferred_users += 1
                     continue
                 report.visited_users.append(user_id)
-                # Record the counter before refreshing so fixes racing in during
-                # the visit leave the user dirty for the next pass.
+                # Record the counter before the model check so fixes racing in
+                # during the visit leave the user dirty for the next pass.
                 self._seen_counts[user_id] = self._tracking.fixes_added(user_id)
-                if not self._refresh_model(user_id):
+                if not self._model_ready(user_id):
                     report.skipped_users += 1
                     continue
                 latest = self._tracking.latest_fix(user_id).timestamp_s
@@ -230,47 +214,3 @@ class ShardedCompactor:
                     user_shard, 0.0
                 ) + (time.perf_counter() - started)
         return report
-
-    def _run_parallel(
-        self, window: float, cap: Optional[int], pool: Optional[ShardWorkerPool]
-    ) -> CompactionReport:
-        """All shards in one pass: dirty shards on workers, clean inline."""
-        shards = self._config.shards
-        dirty_shards = {
-            shard for shard in range(shards) if self.dirty_users(shard=shard)
-        }
-        reports: Dict[int, CompactionReport] = {}
-        if dirty_shards:
-            own_pool = pool is None or pool.shard_count < shards
-            workers = ShardWorkerPool(shards) if own_pool else pool
-            try:
-                reports = workers.map_shards(
-                    {
-                        shard: (
-                            lambda shard=shard: self.run_pass(
-                                keep_window_s=window, shard=shard, budget=cap
-                            )
-                        )
-                        for shard in sorted(dirty_shards)
-                    }
-                )
-            finally:
-                if own_pool:
-                    workers.shutdown()
-        for shard in range(shards):
-            if shard not in reports:
-                reports[shard] = self.run_pass(
-                    keep_window_s=window, shard=shard, budget=cap
-                )
-        merged = CompactionReport(shard=None)
-        for shard in range(shards):
-            report = reports[shard]
-            merged.removed.update(report.removed)
-            merged.visited_users.extend(report.visited_users)
-            merged.unchanged_users += report.unchanged_users
-            merged.deferred_users += report.deferred_users
-            merged.skipped_users += report.skipped_users
-            # Per-shard passes key their timing by their own shard, so the
-            # union is disjoint and mirrors a serial pass's attribution.
-            merged.shard_elapsed_s.update(report.shard_elapsed_s)
-        return merged

@@ -35,18 +35,15 @@ if TYPE_CHECKING:  # imported lazily to keep streaming importable on its own
 
 @dataclass(frozen=True)
 class StreamingConfig:
-    """Switchboard for the streaming mobility subsystem.
+    """Parameters of the streaming mobility subsystem.
 
     ``sessionizer`` and ``incremental`` carry the trip-boundary and mining
     parameters; the server overrides ``incremental.eps_m`` with its own
-    ``stay_point_eps_m`` so the streaming and batch paths mine with
-    identical parameters — a precondition for the decision-equality
-    invariants below (see ``docs/ARCHITECTURE.md``, "Streaming-ingest
-    flow").  With ``enabled`` false the server never instantiates the
-    engine and every model request takes the batch path.
+    ``stay_point_eps_m``.  The batch miner run with the same parameters is
+    the test oracle of the decision-equality invariants below (see
+    ``docs/ARCHITECTURE.md``, "Streaming-ingest flow").
     """
 
-    enabled: bool = True
     sessionizer: SessionizerConfig = SessionizerConfig()
     incremental: IncrementalConfig = IncrementalConfig()
 
@@ -64,11 +61,11 @@ class StreamingMobilityEngine:
       the sessionizer is decision-equal to the batch splitter and the
       full snapshot re-mines the compact trip list with the batch
       algorithms;
-    * **monotonic observability** — ``fixes_observed`` and
-      ``observed_fix_count(user)`` only grow; comparing the latter against
-      ``TrackingStore.fixes_added`` tells callers whether this engine saw
-      every fix (fixes written directly to the store bypass it, and such
-      users must take the batch path);
+    * **monotonic observability** — ``fixes_observed`` and the per-user
+      counts in the snapshot payload only grow; every fix the tracking
+      store accepts reaches the engine, because ``UserManager`` is the one
+      caller of ``TrackingStore.add_fix``/``add_fixes`` (the
+      ``single-ingest-path`` lint rule);
     * **bus narration** — every completed trip, online stay-point spawn and
       drift repair publishes a ``tracking.*`` message, so dashboards and
       tests can follow ingest without polling the models.
@@ -122,14 +119,14 @@ class StreamingMobilityEngine:
     def observe_fixes(self, fixes) -> List[Trajectory]:
         """Consume a batch of fixes; returns all trips they completed."""
         completed: List[Trajectory] = []
-        add_fix = self._sessionizer.add_fix
+        sessionize = self._sessionizer.add_fix
         fold = self._fold_trip
         counts = self._observed_per_user
         count = 0
         for fix in fixes:
             count += 1
             counts[fix.user_id] = counts.get(fix.user_id, 0) + 1
-            for trip in add_fix(fix):
+            for trip in sessionize(fix):
                 fold(trip)
                 completed.append(trip)
         self._fixes_observed += count
@@ -146,16 +143,6 @@ class StreamingMobilityEngine:
         comparison.
         """
         return (self._model.epoch(user_id), self._model.trip_count(user_id))
-
-    def observed_fix_count(self, user_id: str) -> int:
-        """Fixes this engine has consumed for a user (monotonic).
-
-        Comparing it against ``TrackingStore.fixes_added`` tells callers
-        whether the engine's model is complete for the user, or whether
-        fixes bypassed the listener (direct store writes) and a batch
-        rebuild over the raw history is required instead.
-        """
-        return self._observed_per_user.get(user_id, 0)
 
     def close_user(self, user_id: str) -> List[Trajectory]:
         """Flush a user's open tail (device gone / end of replay)."""

@@ -23,8 +23,8 @@ stay points are never merged or re-ranked online), so every user carries a
 dirty-trip counter and an epoch: once ``repair_every`` trips accumulate, a
 *repair* re-runs the batch miner over the user's **compact trip list**
 (never the raw fixes) and resets the drift.  A repaired model is exactly
-what ``rebuild_mobility_model`` would produce on the same trips, which the
-equivalence tests assert.
+what the batch miner (``stay_points_from_trips`` + ``cluster_trips``)
+produces on the same trips, which the equivalence tests assert.
 """
 
 from __future__ import annotations

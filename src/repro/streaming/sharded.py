@@ -136,10 +136,6 @@ class ShardedStreamingEngine:
         """``(repair epoch, folded trip count)`` from the owning shard."""
         return self.engine_for(user_id).model_freshness(user_id)
 
-    def observed_fix_count(self, user_id: str) -> int:
-        """Fixes consumed for a user (monotonic, owning shard)."""
-        return self.engine_for(user_id).observed_fix_count(user_id)
-
     def model_snapshot(
         self, user_id: str, *, include_open_tail: bool = False
     ) -> Optional[MobilitySnapshot]:

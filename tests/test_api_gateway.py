@@ -3,8 +3,8 @@
 Covers every ``/v1`` route's success *and* error paths, the middleware
 chain (auth 401s, token-bucket 429s, metrics, exception mapping), batch
 ingest parity with the single-fix path, cursor pagination, ETag/304
-revalidation, the wire-level JSON entry point, the legacy façade's
-compatibility contract, and the server's round-robin maintenance tick.
+revalidation, the wire-level JSON entry point (including its rejection of
+non-finite numbers), and the server's round-robin maintenance tick.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.pipeline import (
     Gateway,
     GatewayConfig,
     PphcrServer,
-    PublicApi,
     RateLimitConfig,
     ServerConfig,
 )
@@ -298,9 +297,9 @@ class TestFeedbackRoutes:
         assert unknown_user.status == 404
 
     def test_validation_failure_is_400_not_404(self):
-        """Regression: the seed PublicApi mapped *every* feedback error to
-        404; validation failures must be 400 (the gateway's status mapper
-        makes this structural)."""
+        """Regression: the seed's public API mapped *every* feedback error
+        to 404; validation failures must be 400 (the gateway's status
+        mapper makes this structural)."""
         _, gateway = self.make_world()
         negative = gateway.request(
             "POST",
@@ -314,13 +313,23 @@ class TestFeedbackRoutes:
             },
         )
         assert negative.status == 400
-        # Same contract through the legacy façade.
-        server, _ = self.make_world()
-        api = PublicApi(server)
-        response = api.post_feedback(
-            "alice", "clip-a", "like", timestamp_s=10.0, listened_s=-5.0
+        # Same contract at the wire, JSON text in and out.
+        _, gateway = self.make_world()
+        status, body, _headers = gateway.handle_wire(
+            "POST",
+            "/v1/feedback",
+            json.dumps(
+                {
+                    "user_id": "alice",
+                    "content_id": "clip-a",
+                    "kind": "like",
+                    "timestamp_s": 10.0,
+                    "listened_s": -5.0,
+                }
+            ),
         )
-        assert response.status == 400
+        assert status == 400
+        assert "listened_s" in json.loads(body)["error"]
 
     def test_feedback_batch_all_recorded(self):
         _, gateway = self.make_world()
@@ -450,7 +459,7 @@ class TestTrackingRoutes:
                 (c.cluster_id, c.origin_stay_point, c.destination_stay_point, c.support)
                 for c in snap_batch.clusters
             ]
-        assert server_single.streaming.observed_fix_count("alice") == server_batch.streaming.observed_fix_count("alice")
+        assert server_single.streaming.fixes_observed == server_batch.streaming.fixes_observed
 
 
 class TestContentRoutes:
@@ -689,15 +698,6 @@ class TestMiddleware:
         )
         assert revoked.status == 401
 
-    def test_facade_sends_auth_token(self):
-        server = make_server()
-        gateway = Gateway(server, GatewayConfig(require_auth=True))
-        token = gateway.auth.issue("alice")
-        api = PublicApi(server, gateway=gateway, auth_token=token)
-        assert api.get_profile("alice").ok
-        anonymous = PublicApi(server, gateway=gateway)
-        assert anonymous.get_profile("alice").status == 401
-
     def test_metrics_published_and_counted(self):
         server, gateway = make_gateway()
         gateway.request("GET", "/v1/users/alice")
@@ -804,6 +804,38 @@ class TestWireLevel:
         status, _body, _headers = gateway.handle_wire("POST", "/v1/tracking", "[1, 2]")
         assert status == 400
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["speed_mps", "accuracy_m"])
+    def test_non_finite_numbers_are_400_and_store_nothing(self, constant, field):
+        """The wire accepts only finite numbers: ``json.loads`` would decode
+        the non-standard constants, and the tracking routes would store
+        them.  Each form of the tracking routes answers 400."""
+        server, gateway = make_gateway()
+        fix = f'"lat": 45.07, "lon": 7.68, "timestamp_s": 1.0, "{field}": {constant}'
+        bodies = [
+            ("/v1/tracking", f'{{"user_id": "alice", {fix}}}'),
+            ("/v1/tracking/batch", f'{{"user_id": "alice", "fixes": [{{{fix}}}]}}'),
+            ("/v1/tracking/batch", f'{{"fixes": [{{"user_id": "alice", {fix}}}]}}'),
+        ]
+        for path, body in bodies:
+            status, text, _headers = gateway.handle_wire("POST", path, body)
+            assert status == 400, (path, text)
+            assert constant.lstrip("-") in json.loads(text)["error"]
+        assert server.users.tracking.fix_count() == 0
+        assert server.streaming.fixes_observed == 0
+
+    @pytest.mark.parametrize("field", ["speed_mps", "accuracy_m"])
+    def test_non_finite_fix_fields_are_400_in_process(self, field):
+        """Callers that skip the JSON codec hit the same check in GpsFix."""
+        server, gateway = make_gateway()
+        fix = {"lat": 45.07, "lon": 7.68, "timestamp_s": 1.0, field: float("nan")}
+        for body in (
+            {"user_id": "alice", "fixes": [fix]},
+            {"fixes": [{"user_id": "alice", **fix}]},
+        ):
+            assert gateway.request("POST", "/v1/tracking/batch", body=body).status == 400
+        assert server.users.tracking.fix_count() == 0
+
     def test_all_route_bodies_are_json_serializable(self, small_world):
         gateway = Gateway(small_world.server)
         user_id = small_world.commuters[0].user_id
@@ -817,43 +849,6 @@ class TestWireLevel:
             status, body, _headers = gateway.handle_wire(method, path, None, query=query)
             assert status == 200
             json.loads(body)
-
-
-class TestLegacyFacade:
-    """The v1 façade keeps the legacy response contract (and the gateway's
-    machinery — metrics, limits — applies to it transparently)."""
-
-    def test_duplicate_registration_stays_400(self):
-        api = PublicApi(PphcrServer())
-        assert api.register_user("u1", "User").status == 201
-        assert api.register_user("u1", "User").status == 400
-
-    def test_facade_requests_are_metered(self):
-        server = make_server()
-        api = PublicApi(server)
-        api.get_profile("alice")
-        api.list_services()
-        assert len(server.bus.published_messages("api.request")) == 2
-
-    def test_list_services_body_shape(self):
-        server = make_server()
-        server.content.add_service(RadioService(service_id="s1", name="One"))
-        response = PublicApi(server).list_services()
-        assert response.ok
-        assert response.body["services"][0]["service_id"] == "s1"
-        assert response.body["next_cursor"] is None
-
-    def test_list_services_returns_complete_listing(self):
-        """Legacy contract: all services, even beyond one gateway page."""
-        server = make_server()
-        gateway = Gateway(server, GatewayConfig(default_page_limit=4, max_page_limit=4))
-        for index in range(11):
-            server.content.add_service(
-                RadioService(service_id=f"svc-{index:02d}", name=f"Service {index}")
-            )
-        response = PublicApi(server, gateway=gateway).list_services()
-        assert response.ok
-        assert len(response.body["services"]) == 11
 
 
 class TestMaintenanceTick:

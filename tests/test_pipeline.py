@@ -1,11 +1,15 @@
 """Tests for the message bus, the PPHCR server and the public API."""
 
+import json
+
 import pytest
 
 from repro.asr import SyntheticNewsCorpus
 from repro.content import AudioClip, ContentKind
 from repro.errors import PipelineError
-from repro.pipeline import MessageBus, PphcrServer, PublicApi, ServerConfig
+from repro.datasets import BroadcasterConfig, CommuterConfig, WorldConfig, build_world
+from repro.pipeline import Gateway, MessageBus, PphcrServer, ServerConfig
+from repro.roadnet import CityGeneratorConfig
 from repro.users import UserProfile
 
 
@@ -108,19 +112,38 @@ class TestServerIngestion:
 
 
 class TestServerMobilityAndRecommendation:
-    def test_rebuild_mobility_model(self, small_world):
-        server = small_world.server
-        user_id = small_world.commuters[0].user_id
-        model = server.rebuild_mobility_model(user_id)
-        assert model.trip_count >= 2
-        assert model.stay_points
-        assert server.bus.published_messages("tracking.model_rebuilt")
-
     def test_rebuild_requires_tracking_data(self):
+        """No fixes, no mobility model: serving raises PipelineError."""
         server = PphcrServer()
         server.register_user(UserProfile(user_id="u1", display_name="User"))
         with pytest.raises(PipelineError):
-            server.rebuild_mobility_model("u1")
+            server.mobility_model("u1")
+
+    def test_served_model_follows_the_stream(self):
+        """Drives ingested after the world is built move the served model:
+        it is the streaming engine's model, not a copy mined at start-up."""
+        world = build_world(
+            WorldConfig(
+                seed=1,
+                city=CityGeneratorConfig(grid_rows=8, grid_cols=8, poi_count=8, seed=4),
+                broadcaster=BroadcasterConfig(seed=5, clips_per_day=20),
+                commuters=CommuterConfig(seed=6, commuters=2, history_days=4),
+                classifier_documents_per_category=4,
+                feedback_events_per_user=4,
+            )
+        )
+        server = world.server
+        commuter = world.commuters[0]
+        user_id = commuter.user_id
+        before = server.mobility_model(user_id).trip_count
+        history_days = world.config.commuters.history_days
+        for day in range(history_days, history_days + 3):
+            for reverse in (False, True):
+                drive = world.commuter_generator.live_drive(commuter, day=day, reverse=reverse)
+                server.users.ingest_fixes(drive.fixes())
+        streamed = server.streaming.model_freshness(user_id)[1]
+        assert streamed > before
+        assert server.mobility_model(user_id).trip_count == streamed
 
     def test_build_context_stationary_without_recent_fixes(self, small_world):
         server = small_world.server
@@ -184,59 +207,69 @@ class TestServerMobilityAndRecommendation:
 
 
 class TestPublicApi:
+    """The paper's public REST API, driven at the wire (JSON text in/out)."""
+
+    @staticmethod
+    def client(server):
+        gateway = Gateway(server)
+
+        def call(method, path, body=None, query=None):
+            payload = json.dumps(body) if body is not None else None
+            status, text, _headers = gateway.handle_wire(method, path, payload, query=query)
+            return status, json.loads(text)
+
+        return call
+
     def test_register_and_get_profile(self):
-        api = PublicApi(PphcrServer())
-        response = api.register_user("u1", "Greg", age=40)
-        assert response.status == 201
-        duplicate = api.register_user("u1", "Greg")
-        assert duplicate.status == 400
-        profile = api.get_profile("u1")
-        assert profile.ok
-        assert profile.body["display_name"] == "Greg"
-        assert api.get_profile("ghost").status == 404
+        call = self.client(PphcrServer())
+        status, _body = call("POST", "/v1/users", {"user_id": "u1", "display_name": "Greg", "age": 40})
+        assert status == 201
+        assert call("POST", "/v1/users", {"user_id": "u1", "display_name": "Greg"})[0] == 409
+        status, profile = call("GET", "/v1/users/u1")
+        assert status == 200
+        assert profile["display_name"] == "Greg"
+        assert call("GET", "/v1/users/ghost")[0] == 404
 
     def test_feedback_endpoint(self, small_world):
-        api = PublicApi(small_world.server)
+        call = self.client(small_world.server)
         user_id = small_world.commuters[0].user_id
         clip_id = small_world.server.content.clips()[0].clip_id
-        ok = api.post_feedback(user_id, clip_id, "like", timestamp_s=1000.0)
-        assert ok.status == 201
-        bad_kind = api.post_feedback(user_id, clip_id, "loved-it", timestamp_s=1000.0)
-        assert bad_kind.status == 400
-        unknown_user = api.post_feedback("ghost", clip_id, "like", timestamp_s=1000.0)
-        assert unknown_user.status == 404
+        event = {"user_id": user_id, "content_id": clip_id, "kind": "like", "timestamp_s": 1000.0}
+        assert call("POST", "/v1/feedback", event)[0] == 201
+        assert call("POST", "/v1/feedback", {**event, "kind": "loved-it"})[0] == 400
+        assert call("POST", "/v1/feedback", {**event, "user_id": "ghost"})[0] == 404
 
     def test_location_endpoint(self, small_world):
-        api = PublicApi(small_world.server)
+        call = self.client(small_world.server)
         user_id = small_world.commuters[0].user_id
         latest = small_world.server.users.tracking.latest_fix(user_id).timestamp_s
-        ok = api.post_location(user_id, lat=45.07, lon=7.68, timestamp_s=latest + 10.0)
-        assert ok.status == 202
-        bad = api.post_location(user_id, lat=123.0, lon=7.68, timestamp_s=latest + 20.0)
-        assert bad.status == 400
+        fix = {"user_id": user_id, "lat": 45.07, "lon": 7.68, "timestamp_s": latest + 10.0}
+        assert call("POST", "/v1/tracking", fix)[0] == 202
+        bad = {**fix, "lat": 123.0, "timestamp_s": latest + 20.0}
+        assert call("POST", "/v1/tracking", bad)[0] == 400
 
     def test_services_and_clip_endpoints(self, small_world):
-        api = PublicApi(small_world.server)
-        services = api.list_services()
-        assert services.ok
-        assert len(services.body["services"]) == 10
+        call = self.client(small_world.server)
+        status, services = call("GET", "/v1/services")
+        assert status == 200
+        assert len(services["services"]) == 10
         clip_id = small_world.server.content.clips()[0].clip_id
-        clip = api.get_clip(clip_id)
-        assert clip.ok and clip.body["clip_id"] == clip_id
-        assert api.get_clip("ghost").status == 404
+        status, clip = call("GET", f"/v1/clips/{clip_id}")
+        assert status == 200 and clip["clip_id"] == clip_id
+        assert call("GET", "/v1/clips/ghost")[0] == 404
 
     def test_recommendations_endpoint(self, small_world):
-        api = PublicApi(small_world.server)
+        call = self.client(small_world.server)
         commuter = small_world.commuters[5]
         drive = small_world.commuter_generator.live_drive(commuter, day=small_world.today)
         observe = drive.departure_s + 240.0
         small_world.server.users.ingest_fixes(drive.fixes(until_s=observe), skip_stale=True)
-        response = api.get_recommendations(commuter.user_id, now_s=observe)
-        assert response.ok
-        assert "proactive" in response.body
-        if response.body["proactive"]:
-            assert response.body["items"]
-            first = response.body["items"][0]
+        query = {"now_s": repr(observe)}
+        status, body = call("GET", f"/v1/recommendations/{commuter.user_id}", query=query)
+        assert status == 200
+        assert "proactive" in body
+        if body["proactive"]:
+            assert body["items"]
+            first = body["items"][0]
             assert {"clip_id", "title", "duration_s", "score"} <= set(first)
-        missing = api.get_recommendations("ghost", now_s=observe)
-        assert missing.status == 404
+        assert call("GET", "/v1/recommendations/ghost", query=query)[0] == 404

@@ -562,38 +562,32 @@ def test_parallel_ingest_pool_matches_serial_outcome(seeded_rng):
         ) == server_serial.streaming.model_freshness(user_id)
 
 
-# Parallel compaction ------------------------------------------------------
+# Compaction ---------------------------------------------------------------
 
 
-def test_parallel_compaction_matches_serial_full_pass(seeded_rng):
-    server_serial, _gateway = _server(4)
-    server_parallel, _gateway = _server(4, parallel=True)
-    for server in (server_serial, server_parallel):
+def test_full_compaction_pass_matches_per_shard_passes(seeded_rng):
+    """One full pass and one pass per shard prune the same fixes and leave
+    identical stores behind."""
+    server_full, _gateway = _server(4)
+    server_shards, _gateway = _server(4)
+    for server in (server_full, server_shards):
         reset_ids()
-        _ingest_rounds(server, seeded_rng, rounds=3)
+        _ingest_rounds(server, seeded_rng.fork("rounds"), rounds=3)
     keep = 86400.0  # tighten the window so pruning happens
-    report_serial = server_serial.compactor.run_pass(keep_window_s=keep)
-    report_parallel = server_parallel.compactor.run_pass(
-        keep_window_s=keep, parallel=True, pool=server_parallel.workers
-    )
-    assert report_parallel.removed == report_serial.removed
-    assert sorted(report_parallel.visited_users) == sorted(report_serial.visited_users)
-    assert report_parallel.unchanged_users == report_serial.unchanged_users
-    assert report_parallel.deferred_users == report_serial.deferred_users
-    assert report_parallel.skipped_users == report_serial.skipped_users
-    assert report_parallel.shard is None
-    # Both compactors leave identical stores behind.
+    report = server_full.compactor.run_pass(keep_window_s=keep)
+    assert report.shard is None
+    assert report.unchanged_users == report.deferred_users == report.skipped_users == 0
+    removed = {}
+    for shard in range(server_shards.config.compaction.shards):
+        removed.update(server_shards.compact_tracking_data(keep_window_s=keep, shard=shard))
+    assert removed == report.removed
+    assert sum(removed.values()) > 0
+    assert not server_shards.compactor.dirty_users()
     for index in range(8):
         user_id = f"user-{index:03d}"
-        assert server_parallel.users.tracking.fixes_for(
+        assert server_shards.users.tracking.fixes_for(
             user_id
-        ) == server_serial.users.tracking.fixes_for(user_id)
-    # A parallel maintenance tick covers all shards without advancing the
-    # round-robin cursor.
-    cursor_before = server_parallel.maintenance_shard
-    summary = server_parallel.maintenance_tick(parallel=True)
-    assert summary["shard"] == -1
-    assert server_parallel.maintenance_shard == cursor_before
+        ) == server_full.users.tracking.fixes_for(user_id)
 
 
 # Rebalancing --------------------------------------------------------------

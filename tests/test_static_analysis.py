@@ -488,6 +488,78 @@ class TestShardSafety:
 
 
 # ---------------------------------------------------------------------------
+# single-ingest-path
+# ---------------------------------------------------------------------------
+
+
+class TestSingleIngestPath:
+    def test_direct_store_writes_fire_outside_the_user_manager(self, tmp_path):
+        result = analyze(
+            tmp_path,
+            {
+                "datasets/world.py": """
+                def load(server, fixes):
+                    server.users.tracking.add_fixes(fixes)
+                """,
+                "pipeline/server.py": """
+                class Server:
+                    def backfill(self, fix):
+                        self._tracking.add_fix(fix)
+
+                    def alias(self, fixes):
+                        add_fix = self._tracking.add_fix
+                        for fix in fixes:
+                            add_fix(fix)
+                """,
+            },
+        )
+        assert keys(result, "single-ingest-path") == [
+            "direct-write:Server.alias:add_fix",
+            "direct-write:Server.backfill:add_fix",
+            "direct-write:load:add_fixes",
+        ]
+
+    def test_ingest_module_sessionizer_and_own_methods_are_clean(self, tmp_path):
+        result = analyze(
+            tmp_path,
+            {
+                "users/management.py": """
+                class UserManager:
+                    def ingest_fix(self, fix):
+                        self._tracking.add_fix(fix)
+
+                    def ingest_fixes(self, fixes):
+                        self._tracking.add_fixes(fixes)
+                """,
+                "streaming/engine.py": """
+                class Engine:
+                    def observe_fix(self, fix):
+                        return self._sessionizer.add_fix(fix)
+                """,
+                "streaming/sessionizer.py": """
+                class TripSessionizer:
+                    def add_fix(self, fix):
+                        return []
+
+                    def add_fixes(self, fixes):
+                        for fix in fixes:
+                            self.add_fix(fix)
+                """,
+                "spatialdb/tracking_store.py": """
+                class TrackingStore:
+                    def add_fix(self, fix):
+                        pass
+
+                    def add_fixes(self, fixes):
+                        for fix in fixes:
+                            self.add_fix(fix)
+                """,
+            },
+        )
+        assert keys(result, "single-ingest-path") == []
+
+
+# ---------------------------------------------------------------------------
 # error-mapping-coverage
 # ---------------------------------------------------------------------------
 
@@ -814,6 +886,7 @@ class TestRealTree:
             "shard-safety",
             "error-mapping-coverage",
             "metric-naming",
+            "single-ingest-path",
         }
 
     def test_src_repro_is_clean_modulo_baseline(self):

@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from mobility_oracle import batch_mobility_model
 
+from repro.errors import PipelineError
 from repro.geo import GeoPoint
 from repro.geo.geodesy import destination_point
 from repro.pipeline import PphcrServer
@@ -90,9 +92,9 @@ def _bearing(a, b):
 class TestIncrementalEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_repaired_stream_model_equals_batch_rebuild(self, seed):
-        """Satellite: replaying a fix stream through sessionizer + incremental
-        model yields the same trips, stay points and clusters as
-        ``rebuild_mobility_model`` over the full history."""
+        """Replaying a fix stream through sessionizer + incremental model
+        yields the same trips, stay points and clusters as the batch miner
+        over the full history."""
         server = PphcrServer()
         user_id = f"commuter-{seed}"
         server.register_user(UserProfile(user_id=user_id, display_name="C"))
@@ -106,7 +108,7 @@ class TestIncrementalEquivalence:
         streamed = engine.model_snapshot(user_id, include_open_tail=True)
 
         # The batch reference over the very same raw history.
-        batch = server.rebuild_mobility_model(user_id)
+        batch = batch_mobility_model(fixes, eps_m=server.config.stay_point_eps_m)
 
         assert streamed.trip_count == batch.trip_count
         assert [stay_point_key(sp) for sp in streamed.stay_points] == [
@@ -142,11 +144,7 @@ class TestIncrementalEquivalence:
             engine.observe_fix(fix)
         engine.close_user(user_id)
         online = engine.model.snapshot(user_id, auto_repair=False)
-
-        server = PphcrServer()
-        server.register_user(UserProfile(user_id=user_id, display_name="C"))
-        server.users.ingest_fixes(fixes)
-        batch = server.rebuild_mobility_model(user_id)
+        batch = batch_mobility_model(fixes, eps_m=engine.model.config.eps_m)
 
         assert len(online.stay_points) == len(batch.stay_points)
         eps = engine.model.config.eps_m
@@ -289,45 +287,31 @@ class TestServerStreamingIntegration:
         user_id = "commuter-live"
         server.register_user(UserProfile(user_id=user_id, display_name="C"))
         server.users.ingest_fixes(commute_history(user_id, days=5, seed=21))
-        # No rebuild_mobility_model call: the model is served from the stream.
         model = server.mobility_model(user_id)
         assert model.trip_count >= server.config.min_trips_for_model
         assert model.stay_points
         assert model.clusters
-        assert not server.bus.published_messages("tracking.model_rebuilt")
+        # The engine's live model, cached until a trip folds in.
+        assert model.trip_count == server.streaming.model_freshness(user_id)[1]
+        assert server.mobility_model(user_id) is model
 
-    def test_direct_store_writes_force_batch_path(self):
-        """Fixes bypassing the ingestion listeners must not be lost: the
-        server detects the engine's incomplete view and re-mines from the
-        raw history instead of serving/caching the streaming model."""
+    def test_immature_model_is_not_served(self):
         server = PphcrServer()
-        user_id = "commuter-direct"
+        user_id = "commuter-new"
         server.register_user(UserProfile(user_id=user_id, display_name="C"))
-        fixes = commute_history(user_id, days=5, seed=41)
-        split = len(fixes) // 2
-        server.users.ingest_fixes(fixes[:split])  # engine sees these
-        server.users.tracking.add_fixes(fixes[split:])  # engine never sees these
-        model = server.mobility_model(user_id)
-        # The batch path ran (its event carries source=batch) and the model
-        # covers the full history, not just the streamed half.
-        rebuilt = server.bus.published_messages("tracking.model_rebuilt")
-        assert rebuilt and rebuilt[-1].body["source"] == "batch"
-        reference = server.rebuild_mobility_model(user_id)
-        assert model.trip_count == reference.trip_count
+        # One day: at most one trip folds in, the next is still the open tail.
+        server.users.ingest_fixes(commute_history(user_id, days=1, seed=5))
+        assert server.streaming.model_freshness(user_id)[1] < server.config.min_trips_for_model
+        with pytest.raises(PipelineError):
+            server.mobility_model(user_id)
 
-    def test_streaming_disabled_falls_back_to_batch(self):
-        from dataclasses import replace
-
-        from repro.pipeline.server import ServerConfig
-        from repro.streaming import StreamingConfig
-
-        config = ServerConfig(streaming=StreamingConfig(enabled=False))
-        server = PphcrServer(config=config)
-        assert server.streaming is None
-        user_id = "commuter-b"
-        server.register_user(UserProfile(user_id=user_id, display_name="C"))
-        server.users.ingest_fixes(commute_history(user_id, days=4, seed=31))
-        model = server.mobility_model(user_id)
-        assert model.stay_points
-        assert server.bus.published_messages("tracking.model_rebuilt")
-        assert replace is not None  # silence unused-import linters
+    def test_snapshot_without_streaming_state_is_rejected(self):
+        server = PphcrServer()
+        payload = server.snapshot()
+        payload["streaming"] = None
+        with pytest.raises(PipelineError):
+            server.restore_snapshot(payload)
+        shard = server.snapshot_shard(0)
+        shard["streaming"] = None
+        with pytest.raises(PipelineError):
+            server.restore_shard(0, shard)

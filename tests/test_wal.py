@@ -103,6 +103,27 @@ class TestFrameCodec:
         assert good == len(blob)
         assert reason is None
 
+    def test_non_finite_payload_raises_and_appends_no_frame(self, tmp_path):
+        """Frames are canonical JSON: a NaN fails at encode time instead of
+        landing in the log as a bare ``NaN`` token."""
+        server = PphcrServer(
+            config=ServerConfig(
+                durability=DurabilityConfig(enabled=True, directory=str(tmp_path))
+            )
+        )
+        manager = server.durability
+        manager.append(None, [{"kind": "probe", "value": 1.0}])
+        manager.flush()
+        before = {path.name: path.read_bytes() for path in log_paths(tmp_path)}
+        with pytest.raises(ValueError):
+            encode_frame({"lsn": 99, "records": [{"value": float("nan")}]})
+        with pytest.raises(ValueError):
+            manager.append(None, [{"kind": "probe", "value": float("nan")}])
+        manager.flush()
+        after = {path.name: path.read_bytes() for path in log_paths(tmp_path)}
+        assert after == before
+        assert b"NaN" not in b"".join(after.values())
+
     def test_empty_blob_is_clean(self):
         assert scan_frames(b"") == ([], 0, None)
 
