@@ -143,21 +143,24 @@ class GridIndex(Generic[T]):
         return [item for item, _distance in self._scan_radius(center, radius_m)]
 
     def query_bbox(self, box: BoundingBox) -> List[T]:
-        """All items whose position falls inside ``box``."""
-        min_cell = (
-            int(math.floor(box.min_lat / self._cell_deg)),
-            int(math.floor(box.min_lon / self._cell_deg)),
-        )
-        max_cell = (
-            int(math.floor(box.max_lat / self._cell_deg)),
-            int(math.floor(box.max_lon / self._cell_deg)),
-        )
+        """All items whose position falls inside ``box``, in row-major cell order.
+
+        Visits only the occupied cells that fall inside the box (sorted, so
+        the order is the row-major order of a range walk), never an empty one.
+        """
+        lat_lo = int(math.floor(box.min_lat / self._cell_deg))
+        lon_lo = int(math.floor(box.min_lon / self._cell_deg))
+        lat_hi = int(math.floor(box.max_lat / self._cell_deg))
+        lon_hi = int(math.floor(box.max_lon / self._cell_deg))
+        cells = self._cells
+        positions = self._positions
         results: List[T] = []
-        for cell_lat in range(min_cell[0], max_cell[0] + 1):
-            for cell_lon in range(min_cell[1], max_cell[1] + 1):
-                for item in self._cells.get((cell_lat, cell_lon), ()):
-                    if box.contains(self._positions[item]):
-                        results.append(item)
+        for key in sorted(
+            key for key in cells if lat_lo <= key[0] <= lat_hi and lon_lo <= key[1] <= lon_hi
+        ):
+            for item in cells[key]:
+                if box.contains(positions[item]):
+                    results.append(item)
         return results
 
     def nearest(self, center: GeoPoint, *, max_radius_m: float = 50000.0) -> Optional[Tuple[T, float]]:

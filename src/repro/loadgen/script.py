@@ -26,8 +26,12 @@ SCRIPT_FORMAT_VERSION = 1
 
 
 def canonical_json(value: Any) -> str:
-    """The one JSON encoding used everywhere a byte-level claim is made."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """The one JSON encoding used everywhere a byte-level claim is made.
+
+    Finite numbers only: a ``NaN`` or infinity raises ``ValueError`` rather
+    than being written as a bare token that is not JSON.
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.content.model import AudioClip
 from repro.content.repository import ContentRepository
 from repro.errors import ValidationError
-from repro.textclass.tfidf import SparseVector, TfIdfVectorizer, cosine_similarity
+from repro.textclass.tfidf import NormedVector, TfIdfVectorizer, cosine_normed, normed
 from repro.users.management import UserManager
 
 
@@ -122,7 +122,8 @@ class ContentBasedScorer:
         self._recency_weight = recency_weight / total
         self._recency_halflife_s = recency_halflife_s
         self._vectorizer: Optional[TfIdfVectorizer] = None
-        self._clip_vectors: Dict[str, SparseVector] = {}
+        # Each clip's TF-IDF vector with its norm, computed once at fit time.
+        self._clip_vectors: Dict[str, NormedVector] = {}
 
     @property
     def has_text_model(self) -> bool:
@@ -157,7 +158,9 @@ class ContentBasedScorer:
             return
         self._vectorizer = TfIdfVectorizer()
         vectors = self._vectorizer.fit_transform(documents)
-        self._clip_vectors = dict(zip(clip_ids, vectors))
+        self._clip_vectors = {
+            clip_id: normed(vector) for clip_id, vector in zip(clip_ids, vectors)
+        }
 
     def score(self, user_id: str, clip: AudioClip, *, now_s: float) -> float:
         """Content-based relevance of one clip for one user."""
@@ -192,28 +195,34 @@ class ContentBasedScorer:
             + self._recency_weight * recency_term
         )
 
-    def _liked_vectors(self, user_id: str) -> List[SparseVector]:
+    def _liked_vectors(self, user_id: str) -> List[NormedVector]:
+        """Vectors of the last 20 liked clips, each clip once.
+
+        A clip liked twice adds nothing to a ``max`` over similarities, so
+        repeats are dropped before the lookup.
+        """
         if self._vectorizer is None:
             return []
         liked_ids = self._users.feedback.positive_content_ids(user_id)
+        clip_vectors = self._clip_vectors
         return [
-            self._clip_vectors[content_id]
-            for content_id in liked_ids[-20:]
-            if content_id in self._clip_vectors
+            clip_vectors[content_id]
+            for content_id in dict.fromkeys(liked_ids[-20:])
+            if content_id in clip_vectors
         ]
 
-    def _similarity_to_liked(self, clip: AudioClip, liked_vectors: List[SparseVector]) -> float:
+    def _similarity_to_liked(self, clip: AudioClip, liked_vectors: List[NormedVector]) -> float:
         if self._vectorizer is None:
             return 0.5
         clip_vector = self._clip_vectors.get(clip.clip_id)
         if clip_vector is None and clip.transcript:
-            clip_vector = self._vectorizer.transform(clip.transcript)
-        if not clip_vector:
+            # Published after the fit: vectorize and norm it on the fly.
+            clip_vector = normed(self._vectorizer.transform(clip.transcript))
+        if clip_vector is None or not clip_vector[0]:
             return 0.5
         if not liked_vectors:
             return 0.5
-        best = max(cosine_similarity(clip_vector, other) for other in liked_vectors)
-        return best
+        return max(cosine_normed(clip_vector, other) for other in liked_vectors)
 
     def _recency(self, clip: AudioClip, now_s: float) -> float:
         age_s = max(0.0, now_s - clip.published_s)

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter, OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import repeat
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ClassificationError
 from repro.textclass.tokenizer import Tokenizer
 from repro.textclass.vocabulary import Vocabulary
 
 SparseVector = Dict[int, float]
+#: A sparse vector with its precomputed L2 norm (see :func:`normed`).
+NormedVector = Tuple[SparseVector, float]
 
 
 class TfIdfVectorizer:
@@ -137,20 +141,40 @@ class TfIdfVectorizer:
             raise ClassificationError("vectorizer must be fitted before transform")
 
 
+def normed(vector: SparseVector) -> NormedVector:
+    """``vector`` paired with its L2 norm, so a cosine never recomputes it.
+
+    Callers that compare one vector many times (the content scorer compares
+    every candidate against every liked clip) norm each vector once and
+    call :func:`cosine_normed`.
+    """
+    values = vector.values()
+    return vector, math.sqrt(sum(map(mul, values, values)))
+
+
+def cosine_normed(a: NormedVector, b: NormedVector) -> float:
+    """Cosine similarity of two :func:`normed` vectors (0 if either is empty
+    or all-zero).
+
+    The dot product iterates over the shorter vector.  Inputs need not be
+    unit length: the dot product is always divided by both norms.
+    """
+    vector_a, norm_a = a
+    vector_b, norm_b = b
+    if not vector_a or not vector_b:
+        return 0.0
+    if len(vector_b) < len(vector_a):
+        vector_a, norm_a, vector_b, norm_b = vector_b, norm_b, vector_a, norm_a
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    dot = sum(map(mul, vector_a.values(), map(vector_b.get, vector_a, repeat(0.0))))
+    return dot / (norm_a * norm_b)
+
+
 def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
     """Cosine similarity of two sparse vectors (0 if either is empty).
 
-    Vectors produced by :class:`TfIdfVectorizer` are already normalized, so
-    this reduces to a sparse dot product, but un-normalized inputs are also
-    handled correctly.
+    Norms both vectors and calls :func:`cosine_normed`; callers comparing
+    the same vector repeatedly should norm it once themselves.
     """
-    if not a or not b:
-        return 0.0
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(value * b.get(index, 0.0) for index, value in a.items())
-    norm_a = math.sqrt(sum(value * value for value in a.values()))
-    norm_b = math.sqrt(sum(value * value for value in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
+    return cosine_normed(normed(a), normed(b))

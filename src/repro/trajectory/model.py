@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import TrajectoryError
@@ -86,9 +87,9 @@ class Trajectory:
         """Elapsed time from first to last sample."""
         return self._points[-1].timestamp_s - self._points[0].timestamp_s
 
-    @property
+    @cached_property
     def length_m(self) -> float:
-        """Path length over all samples."""
+        """Path length over all samples (measured once: the samples never change)."""
         total = 0.0
         for earlier, later in zip(self._points, self._points[1:]):
             total += haversine_m(earlier.position, later.position)

@@ -1,10 +1,13 @@
 """Tests for the simulated ASR, synthetic corpus and text classification."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asr import SimulatedTranscriber, SyntheticNewsCorpus, word_error_rate
+from repro.content import AudioClip, ContentKind, ContentRepository
 from repro.errors import ClassificationError, NotFoundError, ValidationError
 from repro.textclass import (
     NaiveBayesClassifier,
@@ -13,7 +16,9 @@ from repro.textclass import (
     Vocabulary,
     evaluate_classifier,
 )
-from repro.textclass.tfidf import cosine_similarity
+from repro.recommender import ContentBasedScorer
+from repro.textclass.tfidf import cosine_normed, cosine_similarity, normed
+from repro.users import FeedbackKind, UserManager, UserProfile
 
 
 class TestWordErrorRate:
@@ -356,3 +361,141 @@ class TestTfIdfMemoization:
         vectorizer.transform("alfa")
         vectorizer.transform("alfa")
         assert tokenizer.calls == 2
+
+
+def _oracle_cosine(a, b):
+    """The cosine as it was before vectors carried their norm (the oracle)."""
+    if not a or not b:
+        return 0.0
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum(value * b.get(index, 0.0) for index, value in a.items())
+    norm_a = math.sqrt(sum(value * value for value in a.values()))
+    norm_b = math.sqrt(sum(value * value for value in b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
+def _random_sparse(rng, length, *, dims=30, unit=False):
+    vector = {index: rng.uniform(0.0, 3.0) for index in rng.sample(range(dims), length)}
+    if unit and vector:
+        norm = math.sqrt(sum(value * value for value in vector.values()))
+        vector = {index: value / norm for index, value in vector.items()}
+    return vector
+
+
+def _kernel(a, b):
+    return cosine_normed(normed(a), normed(b))
+
+
+class TestCosineKernel:
+    """The normed kernel is bit-identical (``==``, not approx) to the oracle."""
+
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_random_pairs_match_oracle(self, seeded_rng, unit):
+        rng = seeded_rng.fork("cosine", unit)
+        for _ in range(500):
+            a = _random_sparse(rng, rng.randint(1, 12), unit=unit)
+            b = _random_sparse(rng, rng.randint(1, 12), unit=unit)
+            expected = _oracle_cosine(a, b)
+            assert _kernel(a, b) == expected
+            assert cosine_similarity(a, b) == expected
+
+    def test_equal_lengths_keep_the_argument_order(self, seeded_rng):
+        rng = seeded_rng.fork("equal")
+        for _ in range(300):
+            length = rng.randint(1, 12)
+            a, b = _random_sparse(rng, length), _random_sparse(rng, length)
+            assert _kernel(a, b) == _oracle_cosine(a, b)
+            assert _kernel(b, a) == _oracle_cosine(b, a)
+
+    def test_empty_vectors(self, seeded_rng):
+        other = _random_sparse(seeded_rng.fork("empty"), 5)
+        for a, b in [({}, other), (other, {}), ({}, {})]:
+            assert _kernel(a, b) == _oracle_cosine(a, b) == 0.0
+
+    def test_all_zero_vectors(self, seeded_rng):
+        other = _random_sparse(seeded_rng.fork("zero"), 5)
+        zero = {1: 0.0, 4: 0.0, 7: 0.0}
+        for a, b in [(zero, other), (other, zero), (zero, dict(zero))]:
+            assert _kernel(a, b) == _oracle_cosine(a, b) == 0.0
+
+    def test_normed_pairs_the_vector_with_its_norm(self):
+        vector = {0: 3.0, 5: 4.0}
+        assert normed(vector) == (vector, 5.0)
+        assert normed({}) == ({}, 0.0)
+
+
+class _OracleCosineScorer(ContentBasedScorer):
+    """The content scorer as it was: raw vectors, every liked id, the oracle cosine."""
+
+    def fit_text_model(self):
+        super().fit_text_model()
+        clips = [clip for clip in self._content.clips() if clip.transcript]
+        self._oracle_vectorizer = TfIdfVectorizer()
+        vectors = self._oracle_vectorizer.fit_transform([clip.transcript for clip in clips])
+        self._raw_vectors = {clip.clip_id: vector for clip, vector in zip(clips, vectors)}
+
+    def _liked_vectors(self, user_id):
+        liked_ids = self._users.feedback.positive_content_ids(user_id)
+        return [self._raw_vectors[cid] for cid in liked_ids[-20:] if cid in self._raw_vectors]
+
+    def _similarity_to_liked(self, clip, liked_vectors):
+        vector = self._raw_vectors.get(clip.clip_id)
+        if vector is None and clip.transcript:
+            vector = self._oracle_vectorizer.transform(clip.transcript)
+        if not vector or not liked_vectors:
+            return 0.5
+        return max(_oracle_cosine(vector, other) for other in liked_vectors)
+
+
+class TestContentScorerBitIdentity:
+    WORDS = [f"parola{index}" for index in range(24)]
+    NOW = 10 * 86400.0
+
+    def _clip(self, rng, clip_id, published_s):
+        return AudioClip(
+            clip_id=clip_id,
+            title=clip_id,
+            kind=ContentKind.PODCAST,
+            duration_s=300.0,
+            category_scores={rng.choice(["economics", "sport-football", "music-pop"]): 1.0},
+            transcript=" ".join(rng.choice(self.WORDS) for _ in range(rng.randint(3, 10))),
+            published_s=published_s,
+        )
+
+    def test_score_many_matches_oracle_scorer(self, seeded_rng):
+        rng = seeded_rng.fork("catalogue")
+        content = ContentRepository()
+        content.add_clips(
+            [self._clip(rng, f"clip-{index}", self.NOW - 3600.0 * index) for index in range(30)]
+        )
+        users = UserManager(content=content)
+        users.register(UserProfile(user_id="u1", display_name="x"))
+        liked = [f"clip-{rng.randint(0, 29)}" for _ in range(25)]
+        liked += liked[-6:]  # repeats inside the last-20 window
+        for offset, clip_id in enumerate(liked):
+            users.record_feedback(
+                "u1", clip_id, FeedbackKind.LIKE, timestamp_s=self.NOW - 5000.0 + offset
+            )
+        window = users.feedback.positive_content_ids("u1")[-20:]
+        assert len(set(window)) < len(window)
+
+        scorer = ContentBasedScorer(content, users)
+        oracle = _OracleCosineScorer(content, users)
+        scorer.fit_text_model()
+        oracle.fit_text_model()
+        late = self._clip(rng, "published-after-fit", self.NOW - 60.0)
+        content.add_clip(late)
+
+        clips = content.clips()
+        assert late in clips
+        scores = scorer.score_many("u1", clips, now_s=self.NOW)
+        assert scores == oracle.score_many("u1", clips, now_s=self.NOW)
+        # The similarity term is really exercised: an unfitted scorer (neutral
+        # 0.5 similarity) disagrees, the post-fit clip included.
+        neutral = ContentBasedScorer(content, users).score_many("u1", clips, now_s=self.NOW)
+        differing = [clip_id for clip_id in scores if scores[clip_id] != neutral[clip_id]]
+        assert late.clip_id in differing
+        assert len(differing) > len(clips) // 2

@@ -1,5 +1,7 @@
 """Tests for the uniform grid spatial index."""
 
+import math
+
 import pytest
 
 from repro.errors import GeometryError, NotFoundError
@@ -190,3 +192,69 @@ class TestGridIndexNearestExpansion:
         # The single stored item sits in a single cell: visiting every ring
         # exactly once means exactly one distance evaluation.
         assert calls["count"] == 1
+
+
+def reference_bbox(index, box):
+    """The full row-major range walk over every cell in ``box`` (the oracle)."""
+    cell_deg = index._cell_deg
+    min_cell = (math.floor(box.min_lat / cell_deg), math.floor(box.min_lon / cell_deg))
+    max_cell = (math.floor(box.max_lat / cell_deg), math.floor(box.max_lon / cell_deg))
+    results = []
+    for cell_lat in range(min_cell[0], max_cell[0] + 1):
+        for cell_lon in range(min_cell[1], max_cell[1] + 1):
+            for item in index._cells.get((cell_lat, cell_lon), ()):
+                if box.contains(index._positions[item]):
+                    results.append(item)
+    return results
+
+
+SOUTH_WEST_CENTER = GeoPoint(-33.45, -70.66)  # negative coordinates floor downwards
+
+
+class TestQueryBboxMatchesRangeWalk:
+    """``query_bbox`` returns the range walk's list, in the same order."""
+
+    #: Box half-sides from sub-cell to wider than the 12 km point region.
+    HALF_SIDES_M = (50.0, 400.0, 1500.0, 4000.0, 9000.0, 15000.0, 40000.0)
+
+    def _filled(self, rng, center, count=300):
+        index = GridIndex(cell_size_m=1000.0)
+        for item in range(count):
+            index.insert(
+                item,
+                destination_point(center, rng.uniform(0.0, 360.0), rng.uniform(0.0, 12000.0)),
+            )
+        return index
+
+    def _assert_matches(self, rng, index, center):
+        for half_side in self.HALF_SIDES_M:
+            for _ in range(8):
+                probe = destination_point(center, rng.uniform(0.0, 360.0), rng.uniform(0.0, 12000.0))
+                box = BoundingBox.around(probe, half_side)
+                assert index.query_bbox(box) == reference_bbox(index, box)
+        whole = BoundingBox.around(center, 13000.0)
+        assert sorted(index.query_bbox(whole)) == sorted(item for item, _ in index.items())
+
+    @pytest.mark.parametrize(
+        "center", [CENTER, HIGH_LAT_CENTER, SOUTH_WEST_CENTER], ids=["turin", "narvik", "santiago"]
+    )
+    def test_random_points(self, seeded_rng, center):
+        rng = seeded_rng.fork("bbox", center.lat)
+        index = self._filled(rng, center)
+        self._assert_matches(rng, index, center)
+
+    def test_empty_index(self):
+        index = GridIndex(cell_size_m=1000.0)
+        for half_side in self.HALF_SIDES_M:
+            assert index.query_bbox(BoundingBox.around(CENTER, half_side)) == []
+
+    def test_after_removals(self, seeded_rng):
+        rng = seeded_rng.fork("removals")
+        index = self._filled(rng, CENTER)
+        for item in rng.sample(range(300), 220):
+            index.remove(item)
+        assert len(index) == 80
+        self._assert_matches(rng, index, CENTER)
+        for item, _position in index.items():
+            index.remove(item)
+        assert index.query_bbox(BoundingBox.around(CENTER, 40000.0)) == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TrajectoryError
 from repro.geo import GeoPoint
-from repro.geo.geodesy import destination_point
+from repro.geo.geodesy import destination_point, haversine_m
 from repro.spatialdb import GpsFix
 from repro.trajectory import (
     Trajectory,
@@ -91,6 +91,30 @@ class TestTrajectory:
         trajectory = straight_drive(points=5)
         assert trajectory.to_polyline().length_m == pytest.approx(trajectory.length_m, rel=1e-6)
         assert trajectory.bounding_box().contains(trajectory.origin)
+
+    def test_length_is_measured_once(self, monkeypatch):
+        import repro.trajectory.model as model_module
+
+        trajectory = wiggly_drive(points=12)
+        positions = trajectory.positions()
+        expected = 0.0
+        for earlier, later in zip(positions, positions[1:]):
+            expected += haversine_m(earlier, later)
+
+        calls = {"count": 0}
+
+        def counting_haversine(a, b):
+            calls["count"] += 1
+            return haversine_m(a, b)
+
+        monkeypatch.setattr(model_module, "haversine_m", counting_haversine)
+        assert trajectory.length_m == expected
+        assert calls["count"] == 11
+        # The samples never change, so a second read (and the mean speed
+        # built on it) does no haversine work.
+        assert trajectory.length_m == expected
+        assert trajectory.mean_speed_mps == expected / trajectory.duration_s
+        assert calls["count"] == 11
 
 
 class TestSplitIntoTrips:

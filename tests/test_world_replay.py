@@ -189,6 +189,18 @@ class TestWireEvent:
         )
         assert feedback.user_ids() == ["u-c"]
 
+    def test_non_finite_body_does_not_serialize(self):
+        event = WireEvent(
+            t_s=0.0,
+            method="POST",
+            path="/v1/tracking",
+            body={"user_id": "u-a", "lat": 1.0, "lon": 1.0, "speed_mps": float("nan")},
+        )
+        with pytest.raises(ValueError):
+            event.body_json()
+        with pytest.raises(ValueError):
+            ScenarioScript(name="nan", seed=0, events=(event,)).fingerprint()
+
     def test_event_validates_method_and_path(self):
         with pytest.raises(ValidationError):
             WireEvent(t_s=0.0, method="", path="/v1/clips")
